@@ -11,14 +11,18 @@
 // Queries decompose exactly along the start axis: the enumeration emits
 // every distinct temporal k-core in ascending tightest-start order, and a
 // core whose tightest start falls in shard i's range is fully determined
-// by the edges in [start, queryEnd] — a suffix window the shard's task
+// by the edges in [start, queryEnd] — a suffix window the shard's span
 // computes on the shared spine graph. Each overlapping shard therefore
 // contributes the cores whose tightest start lands in its slice, boundary
 // cores (those whose window crosses the cut) included: the shard's cached
 // local CoreTime index vouches for in-shard core times, and a
 // vct.PatchScratch boundary re-settle extends exactly the vertices whose
-// core windows cross the cut. Concatenating the per-shard streams in shard
-// order reproduces the unsharded enumeration byte for byte.
+// core windows cross the cut. Running the spans in shard order on the
+// calling goroutine, each enumerating into the caller's sink, reproduces
+// the unsharded enumeration byte for byte. The re-settled tables are
+// cached under the ordinary epoch key of the span's window, so a warm
+// query re-settles nothing and an unsharded query of the same window on
+// the same epoch shares the entry.
 package shard
 
 import (

@@ -17,155 +17,63 @@ import (
 // ErrClosed reports a query against a runtime whose Close already ran.
 var ErrClosed = errors.New("shard: runtime closed")
 
-// chunkEdges is the emission batch size of a span task: a worker hands
-// its consumer cores in chunks of roughly this many edge ids, amortising
-// the channel handoff without letting a huge result run unbounded.
-const chunkEdges = 4096
-
-// chunk is one batch of cores streamed from a span task to the gathering
-// consumer. offs[i] is the end of wins[i]'s edge run in eids (the run
-// starts where the previous one ended).
-type chunk struct {
-	wins []tgraph.Window
-	offs []int32
-	eids []tgraph.EID
+// Counters are one shard's monotone serving counters.
+type Counters struct {
+	Tasks     int64 // spans executed
+	CacheHits int64 // spans whose CoreTime tables were resident or shared
+	Patched   int64 // spans that ran a boundary re-settle
 }
 
-// taskResult closes out one span task.
-type taskResult struct {
-	err      error
-	cacheHit bool // the span's CoreTime tables were resident (or shared)
-	patched  bool // the span ran a boundary re-settle over its cut
-	coreTime time.Duration
-	enumTime time.Duration
+// counters is the live, atomically updated form of Counters.
+type counters struct {
+	tasks, hits, patched atomic.Int64
 }
 
-// task is one span's unit of work, executed on the owning shard's replica
-// pool. The out channel streams chunks and is closed by the worker; the
-// final result lands on res.
-type task struct {
-	q    *query
-	span Span
-	out  chan chunk
-	res  chan taskResult
-}
-
-// query is the shared state of one scatter-gather execution, pinned for
-// its whole lifetime: the epoch's graph, the directory the spans were
-// routed by, and the cancellation scope every task polls.
-//
-// tkc:frozensource
-type query struct {
-	g     *tgraph.Graph
-	k     int
-	w     tgraph.Window
-	cache *qcache.Cache
-	ctx   context.Context
-}
-
-// PoolStats are one shard pool's monotone serving counters.
-type PoolStats struct {
-	Tasks     int64 // span tasks executed
-	CacheHits int64 // tasks whose CoreTime tables were resident or shared
-	Patched   int64 // tasks that ran a boundary re-settle
-}
-
-// pool is one shard's replica set: M worker goroutines, each owning its
-// private CoreTime and enumeration scratch, draining a shared task queue.
-// Replication is what lets one hot shard serve several concurrent queries
-// without the scratches contending.
-type pool struct {
-	tasks chan *task
-
-	stTasks   atomic.Int64
-	stHits    atomic.Int64
-	stPatched atomic.Int64
-}
-
-// Runtime owns the per-shard replica pools of one sharded graph. Pools are
-// created on demand as the directory grows (sealing adds a shard) and live
-// until Close.
+// Runtime holds the per-shard serving counters of one sharded graph and
+// its open/closed state. It owns no goroutines: every query runs its spans
+// on the calling goroutine, so concurrent queries run in parallel, each on
+// its own caller.
 type Runtime struct {
-	replicas int
-
 	mu     sync.Mutex
-	pools  []*pool // tkc:guardedby mu
-	closed bool    // tkc:guardedby mu
-	wg     sync.WaitGroup
+	shards []*counters // tkc:guardedby mu
+	closed bool        // tkc:guardedby mu
 }
 
-// NewRuntime creates a runtime with replicas reader goroutines per shard
-// (minimum 1).
-func NewRuntime(replicas int) *Runtime {
-	if replicas < 1 {
-		replicas = 1
-	}
-	return &Runtime{replicas: replicas}
-}
+// NewRuntime creates an open runtime.
+func NewRuntime() *Runtime { return &Runtime{} }
 
-// Replicas returns the per-shard replica count.
-func (rt *Runtime) Replicas() int { return rt.replicas }
-
-// Close shuts every replica worker down and waits for in-flight tasks to
-// finish. Queries must have drained first.
+// Close marks the runtime closed: later queries fail with ErrClosed.
+// Idempotent.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return
-	}
 	rt.closed = true
-	pools := rt.pools
 	rt.mu.Unlock()
-	for _, p := range pools {
-		close(p.tasks)
-	}
-	rt.wg.Wait()
 }
 
-// Stats returns the serving counters of shard i's pool (zero for shards
-// without a pool yet).
-func (rt *Runtime) Stats(i int) PoolStats {
+// Stats returns shard i's serving counters (zero for shards no query has
+// reached yet).
+func (rt *Runtime) Stats(i int) Counters {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if i < 0 || i >= len(rt.pools) {
-		return PoolStats{}
+	if i < 0 || i >= len(rt.shards) {
+		return Counters{}
 	}
-	p := rt.pools[i]
-	return PoolStats{
-		Tasks:     p.stTasks.Load(),
-		CacheHits: p.stHits.Load(),
-		Patched:   p.stPatched.Load(),
-	}
+	c := rt.shards[i]
+	return Counters{Tasks: c.tasks.Load(), CacheHits: c.hits.Load(), Patched: c.patched.Load()}
 }
 
-// ensure grows the pool set to at least n shards, spawning replica workers
-// for the new ones. Returns false after Close.
-func (rt *Runtime) ensure(n int) ([]*pool, bool) {
+// ensure grows the counter set to at least n shards. Returns false after
+// Close.
+func (rt *Runtime) ensure(n int) ([]*counters, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
 		return nil, false
 	}
-	for len(rt.pools) < n {
-		p := &pool{tasks: make(chan *task, rt.replicas)}
-		for i := 0; i < rt.replicas; i++ {
-			rt.wg.Add(1)
-			// The workers' lifetime is bounded by Runtime.Close (the task
-			// channel closes and wg waits), not by one request.
-			// tkc:allow-background: replica workers live for the runtime, joined by Close
-			go func() {
-				defer rt.wg.Done()
-				var vs vct.Scratch
-				var es enum.Scratch
-				for t := range p.tasks {
-					runTask(t, p, &vs, &es)
-				}
-			}()
-		}
-		rt.pools = append(rt.pools, p)
+	for len(rt.shards) < n {
+		rt.shards = append(rt.shards, new(counters))
 	}
-	return rt.pools, true
+	return rt.shards, true
 }
 
 // Params describe one scatter-gather query over a pinned epoch.
@@ -178,239 +86,166 @@ type Params struct {
 }
 
 // Stats aggregates one scatter-gather execution. CoreTime and EnumTime sum
-// the spans' phase costs — spans run concurrently, so the sums are CPU
-// cost, not wall time.
+// the spans' phase costs.
 type Stats struct {
-	Spans       int // shards the query scattered to
-	SealedSpans int
-	CacheHits   int // spans whose CoreTime tables were resident or shared
-	Patched     int // spans that ran a boundary re-settle over their cut
-	CoreTime    time.Duration
-	EnumTime    time.Duration
+	Spans     int // shards the query scattered to
+	Ran       int // spans run: fewer than Spans when the sink stopped early
+	CacheHits int // spans whose CoreTime tables were resident or shared
+	Patched   int // spans that ran a boundary re-settle over their cut
+	CoreTime  time.Duration
+	EnumTime  time.Duration
 }
 
-// Query scatters w across the overlapping shards, runs every span on its
-// shard's replica pool, and gathers the per-span core streams in shard
-// order — which is exactly ascending tightest-start order, so the merged
-// stream is byte-identical to the unsharded enumeration of the same
-// window. emit follows the enum.Sink contract: the eids slice is only
-// valid during the call, and returning false stops the query early.
-func (rt *Runtime) Query(ctx context.Context, p Params, emit func(tgraph.Window, []tgraph.EID) bool) (Stats, error) {
+// Query runs the spans of p.W one after another on the calling
+// goroutine, in shard order: each span resolves its CoreTime tables and
+// enumerates its start slice straight into sink. Shard order is ascending
+// tightest-start order, so the emitted stream is byte-identical to the
+// unsharded enumeration of the same window. sink follows the enum.Sink
+// contract; when it stops, the query returns without resolving the later
+// spans.
+func (rt *Runtime) Query(ctx context.Context, p Params, sink enum.Sink) (Stats, error) {
 	var st Stats
 	spans := p.Dir.Spans(p.W)
 	st.Spans = len(spans)
 	if len(spans) == 0 {
 		return st, nil
 	}
-	pools, ok := rt.ensure(p.Dir.NumShards())
+	ctrs, ok := rt.ensure(p.Dir.NumShards())
 	if !ok {
 		return st, ErrClosed
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	q := &query{g: p.G, k: p.K, w: p.W, cache: p.Cache, ctx: ctx}
-	tasks := make([]*task, len(spans))
-	for i, sp := range spans {
-		t := &task{q: q, span: sp, out: make(chan chunk, 2), res: make(chan taskResult, 1)}
-		tasks[i] = t
-		select {
-		case pools[sp.Shard].tasks <- t:
-		case <-ctx.Done():
-			// Unsubmitted tasks never produce; mark them absent.
-			tasks[i] = nil
-		}
-		if sp.Sealed {
-			st.SealedSpans++
-		}
-	}
-
-	var firstErr error
-	stopped := false
-	for _, t := range tasks {
-		if t == nil {
-			continue
-		}
-		for c := range t.out {
-			if stopped || firstErr != nil {
-				continue // draining a cancelled task's buffered chunks
-			}
-			lo := int32(0)
-			for i := range c.wins {
-				hi := c.offs[i]
-				if !emit(c.wins[i], c.eids[lo:hi]) {
-					stopped = true
-					cancel()
-					break
-				}
-				lo = hi
-			}
-		}
-		r := <-t.res
-		if r.err != nil && firstErr == nil && !stopped {
-			firstErr = r.err
-			cancel()
-		}
-		if r.cacheHit {
-			st.CacheHits++
-		}
-		if r.patched {
-			st.Patched++
-		}
-		st.CoreTime += r.coreTime
-		st.EnumTime += r.enumTime
-	}
-	if firstErr == nil && !stopped {
-		if err := ctx.Err(); err != nil {
-			firstErr = err
-		}
-	}
-	return st, firstErr
-}
-
-// chunkSink accumulates emissions into chunks and streams them on out,
-// honouring cancellation so a worker never blocks on a consumer that went
-// away.
-type chunkSink struct {
-	ctx context.Context
-	out chan<- chunk
-	cur chunk
-}
-
-func (s *chunkSink) Emit(tti tgraph.Window, eids []tgraph.EID) bool {
-	s.cur.wins = append(s.cur.wins, tti)
-	s.cur.eids = append(s.cur.eids, eids...)
-	s.cur.offs = append(s.cur.offs, int32(len(s.cur.eids)))
-	if len(s.cur.eids) >= chunkEdges {
-		return s.flush()
-	}
-	return true
-}
-
-func (s *chunkSink) flush() bool {
-	if len(s.cur.wins) == 0 {
-		return true
-	}
-	c := s.cur
-	s.cur = chunk{}
-	select {
-	case s.out <- c:
-		return true
-	case <-s.ctx.Done():
-		return false
-	}
-}
-
-// runTask executes one span on a replica worker: resolve the span's
-// CoreTime tables (cached local index + boundary patch for sealed shards,
-// plain cached build for the frontier), then enumerate the span's start
-// slice and stream the cores out. The worker owns vs and es exclusively.
-func runTask(t *task, p *pool, vs *vct.Scratch, es *enum.Scratch) {
-	var r taskResult
-	q := t.q
-	p.stTasks.Add(1)
-	defer func() {
-		if r.cacheHit {
-			p.stHits.Add(1)
-		}
-		if r.patched {
-			p.stPatched.Add(1)
-		}
-		close(t.out)
-		t.res <- r
-	}()
-	stop := core.StopFromCtx(q.ctx)
-
-	began := time.Now()
-	ecs, err := t.spanTables(&r, vs, stop)
-	r.coreTime = time.Since(began)
-	if err != nil {
-		r.err = translateStop(q.ctx, err)
-		return
-	}
-
-	sink := &chunkSink{ctx: q.ctx, out: t.out}
-	began = time.Now()
-	done, cancelled := enum.EnumerateRangeStop(q.g, ecs, sink, es, t.span.LastStart, stop)
-	if done {
-		done = sink.flush()
-	}
-	r.enumTime = time.Since(began)
-	if !done || cancelled {
-		r.err = q.ctx.Err()
-	}
-}
-
-// spanTables resolves the span's CoreTime tables. Sealed shards serve from
-// their cached local index — built once per (seal, k) under the shard's
-// cache key namespace, immune to epoch retirement — extended across the
-// cut by a PatchScratch re-settle: cached core times at or below the cut
-// are pinned exact, and exactly the vertices whose core windows cross the
-// cut re-settle against the suffix. The frontier span is an ordinary
-// epoch-keyed cached build. Without a cache every span builds directly on
-// the worker's scratch.
-func (t *task) spanTables(r *taskResult, vs *vct.Scratch, stop func() bool) (*vct.ECS, error) {
-	q := t.q
-	sp := t.span
-	if q.cache == nil {
-		_, ecs, err := vct.BuildScratchStop(q.g, q.k, sp.Task, vs, stop)
-		return ecs, err
-	}
-	if !sp.Sealed {
-		key := qcache.Key{Seq: q.g.MutSeq(), K: q.k, W: sp.Task, Algo: qcache.AlgoEnum}
-		ent, err := t.cached(r, key, sp.Task, stop)
-		if err != nil {
-			return nil, err
-		}
-		if ent == nil { // known-oversize key: zero-retention path
-			_, ecs, err := vct.BuildScratchStop(q.g, q.k, sp.Task, vs, stop)
-			return ecs, err
-		}
-		return ent.Ecs, nil
-	}
-	key := qcache.Key{Seq: sp.Seq, K: q.k, W: sp.Local, Algo: qcache.AlgoEnum, Shard: uint32(sp.Shard + 1)}
-	ent, err := t.cached(r, key, sp.Local, stop)
-	if err != nil {
-		return nil, err
-	}
-	if ent == nil {
-		// The local tables exceed the cache budget: build the span window
-		// directly, skipping the stitch (nothing to stitch against).
-		_, ecs, err := vct.BuildScratchStop(q.g, q.k, sp.Task, vs, stop)
-		return ecs, err
-	}
-	if sp.Task == sp.Local {
-		return ent.Ecs, nil // the query slice is exactly the shard
-	}
-	_, ecs, patched, err := vct.PatchScratchStop(q.g, q.k, sp.Task, ent.Ix, sp.Local.End+1, vs, stop)
-	if err != nil {
-		return nil, err
-	}
-	r.patched = patched
-	return ecs, nil
-}
-
-// cached resolves one cache entry under key, building w's tables on a
-// miss. A nil entry with a nil error means the key is known-oversize: the
-// caller should take its uncached path.
-func (t *task) cached(r *taskResult, key qcache.Key, w tgraph.Window, stop func() bool) (*qcache.Entry, error) {
-	q := t.q
-	if q.cache.Uncacheable(key) {
-		return nil, nil
-	}
-	ent, outcome, err := q.cache.GetOrBuild(q.ctx, key, func() (*qcache.Entry, error) {
+	vs := vct.GetScratch()
+	defer vct.PutScratch(vs)
+	es := enum.GetScratch()
+	defer enum.PutScratch(es)
+	q := query{Params: p, ctx: ctx, stop: core.StopFromCtx(ctx), vs: vs}
+	for _, sp := range spans {
+		c := ctrs[sp.Shard]
+		c.tasks.Add(1)
+		st.Ran++
 		began := time.Now()
-		ix, ecs, err := vct.BuildStop(q.g, q.k, w, stop)
+		ecs, hit, patched, err := q.spanTables(sp)
+		st.CoreTime += time.Since(began)
+		if hit {
+			st.CacheHits++
+			c.hits.Add(1)
+		}
+		if patched {
+			st.Patched++
+			c.patched.Add(1)
+		}
+		if err != nil {
+			return st, translateStop(ctx, err)
+		}
+		began = time.Now()
+		done, cancelled := enum.EnumerateRangeStop(p.G, ecs, sink, es, sp.LastStart, q.stop)
+		st.EnumTime += time.Since(began)
+		if cancelled {
+			return st, ctx.Err()
+		}
+		if !done {
+			return st, nil // the sink stopped
+		}
+	}
+	// A cancellation after the last poll still fails the query, as it
+	// would have failed the next span.
+	return st, ctx.Err()
+}
+
+// query is one scatter-gather execution's span-resolution state. vs is the
+// caller's CoreTime scratch, reused by every span in turn.
+type query struct {
+	Params
+	ctx  context.Context
+	stop func() bool
+	vs   *vct.Scratch
+}
+
+// spanTables resolves a span's CoreTime tables. Without a cache every span
+// builds on the scratch. With one, a span is served under the ordinary
+// epoch key of its task window — the key an unsharded query of that window
+// uses — so a warm span is a single lookup, whichever path filled it. On a
+// miss, resettle computes the tables on the scratch and a self-owned clone
+// is inserted; epoch retirement sweeps it like any other epoch entry. A
+// sealed span whose task window is exactly its shard serves the shard-local
+// entry itself. hit reports the tables were resident or shared; patched
+// reports a boundary re-settle ran for this query.
+func (q *query) spanTables(sp Span) (ecs *vct.ECS, hit, patched bool, err error) {
+	if q.Cache == nil {
+		_, ecs, err := vct.BuildScratchStop(q.G, q.K, sp.Task, q.vs, q.stop)
+		return ecs, false, false, err
+	}
+	if sp.Sealed && sp.Task == sp.Local {
+		local, hit, err := q.local(sp)
+		if err != nil {
+			return nil, false, false, err
+		}
+		if local != nil {
+			return local.Ecs, hit, false, nil
+		}
+		_, ecs, err := vct.BuildScratchStop(q.G, q.K, sp.Task, q.vs, q.stop)
+		return ecs, false, false, err
+	}
+	key := qcache.Key{Seq: q.G.MutSeq(), K: q.K, W: sp.Task, Algo: qcache.AlgoEnum}
+	if q.Cache.Uncacheable(key) {
+		// Known-oversize tables: resolve on the scratch, retain nothing.
+		_, ecs, patched, err := q.resettle(sp)
+		return ecs, false, patched, err
+	}
+	ent, how, err := q.Cache.GetOrBuild(q.ctx, key, func() (*qcache.Entry, error) {
+		began := time.Now()
+		ix, ecs, p, err := q.resettle(sp)
+		if err != nil {
+			return nil, translateStop(q.ctx, err)
+		}
+		patched = p
+		// The tables are backed by the scratch the next span reuses.
+		return qcache.NewEntry(ix.Clone(), ecs.Clone(), time.Since(began)), nil
+	})
+	if err != nil {
+		return nil, false, patched, err
+	}
+	return ent.Ecs, how != qcache.Built, patched, nil
+}
+
+// resettle computes a span's tables on the scratch. A sealed span extends
+// its shard-local index across the cut by a PatchScratchStop re-settle:
+// cached core times at or below the cut are pinned exact, and exactly the
+// vertices whose core windows cross the cut re-settle against the suffix.
+// The frontier — and a sealed span whose local tables exceed the cache
+// budget — builds its task window outright.
+func (q *query) resettle(sp Span) (*vct.Index, *vct.ECS, bool, error) {
+	if sp.Sealed {
+		local, _, err := q.local(sp)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if local != nil {
+			return vct.PatchScratchStop(q.G, q.K, sp.Task, local.Ix, sp.Local.End+1, q.vs, q.stop)
+		}
+	}
+	ix, ecs, err := vct.BuildScratchStop(q.G, q.K, sp.Task, q.vs, q.stop)
+	return ix, ecs, false, err
+}
+
+// local resolves a sealed span's shard-local entry: the CoreTime tables of
+// the shard's whole range, built once per (seal, k) under the shard's
+// cache key namespace and immune to epoch retirement. A nil entry with a
+// nil error means the key is known-oversize.
+func (q *query) local(sp Span) (*qcache.Entry, bool, error) {
+	key := qcache.Key{Seq: sp.Seq, K: q.K, W: sp.Local, Algo: qcache.AlgoEnum, Shard: uint32(sp.Shard + 1)}
+	if q.Cache.Uncacheable(key) {
+		return nil, false, nil
+	}
+	ent, how, err := q.Cache.GetOrBuild(q.ctx, key, func() (*qcache.Entry, error) {
+		began := time.Now()
+		ix, ecs, err := vct.BuildStop(q.G, q.K, sp.Local, q.stop)
 		if err != nil {
 			return nil, translateStop(q.ctx, err)
 		}
 		return qcache.NewEntry(ix, ecs, time.Since(began)), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.cacheHit = outcome != qcache.Built
-	return ent, nil
+	return ent, how != qcache.Built, err
 }
 
 // translateStop converts the engines' ErrStopped into the context's own

@@ -2,8 +2,10 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"temporalkcore/internal/enum"
@@ -160,15 +162,22 @@ func TestQueryMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := randomGraph(rng, 16, 260, 24)
 		d := directoryFor(t, g, 2+trial%3)
-		rt := shard.NewRuntime(1 + trial%3)
-		caches := []*qcache.Cache{nil, qcache.New(1 << 20)}
+		rt := shard.NewRuntime()
+		// A one-byte cache admits nothing: every key turns oversize after
+		// its first build, and the second pass takes the zero-retention
+		// paths.
+		caches := []*qcache.Cache{nil, qcache.New(1 << 20), qcache.New(1)}
+		windows := []tgraph.Window{
+			{Start: 1, End: g.TMax()},
+			{Start: 2, End: g.TMax() - 1},
+			{Start: g.TMax() / 3, End: 2 * g.TMax() / 3},
+		}
+		if cuts := d.Cuts(); len(cuts) > 0 { // exactly the first shard
+			windows = append(windows, tgraph.Window{Start: 1, End: cuts[0].End})
+		}
 		for _, cache := range caches {
 			for pass := 0; pass < 2; pass++ { // second pass hits the warm path
-				for _, w := range []tgraph.Window{
-					{Start: 1, End: g.TMax()},
-					{Start: 2, End: g.TMax() - 1},
-					{Start: g.TMax() / 3, End: 2 * g.TMax() / 3},
-				} {
+				for _, w := range windows {
 					if w.Start < 1 || w.End < w.Start {
 						continue
 					}
@@ -176,12 +185,12 @@ func TestQueryMatchesOracle(t *testing.T) {
 					var got []emitted
 					st, err := rt.Query(context.Background(), shard.Params{
 						G: g, K: 2, W: w, Dir: d, Cache: cache,
-					}, func(win tgraph.Window, eids []tgraph.EID) bool {
+					}, sinkFunc(func(win tgraph.Window, eids []tgraph.EID) bool {
 						cp := make([]tgraph.EID, len(eids))
 						copy(cp, eids)
 						got = append(got, emitted{win, cp})
 						return true
-					})
+					}))
 					if err != nil {
 						t.Fatalf("Query: %v", err)
 					}
@@ -206,13 +215,13 @@ func TestQueryWarmCacheHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 14, 200, 20)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(2)
+	rt := shard.NewRuntime()
 	defer rt.Close()
 	cache := qcache.New(1 << 20)
 	w := tgraph.Window{Start: 1, End: g.TMax()}
 	run := func() shard.Stats {
 		st, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: w, Dir: d, Cache: cache},
-			func(tgraph.Window, []tgraph.EID) bool { return true })
+			sinkFunc(func(tgraph.Window, []tgraph.EID) bool { return true }))
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -226,18 +235,18 @@ func TestQueryWarmCacheHits(t *testing.T) {
 	for i := 0; i < d.NumShards(); i++ {
 		ps := rt.Stats(i)
 		if ps.Tasks == 0 {
-			t.Fatalf("shard %d pool served no tasks", i)
+			t.Fatalf("shard %d served no spans", i)
 		}
 	}
 }
 
 // TestQueryEarlyStop verifies the consumer can stop mid-stream without an
-// error and without wedging the workers.
+// error.
 func TestQueryEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 14, 220, 20)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(1)
+	rt := shard.NewRuntime()
 	defer rt.Close()
 	w := tgraph.Window{Start: 1, End: g.TMax()}
 	want := collectOracle(t, g, 2, w)
@@ -246,10 +255,10 @@ func TestQueryEarlyStop(t *testing.T) {
 	}
 	seen := 0
 	_, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: w, Dir: d},
-		func(win tgraph.Window, eids []tgraph.EID) bool {
+		sinkFunc(func(win tgraph.Window, eids []tgraph.EID) bool {
 			seen++
 			return seen < 2
-		})
+		}))
 	if err != nil {
 		t.Fatalf("early-stopped query returned error: %v", err)
 	}
@@ -263,29 +272,73 @@ func TestQueryAfterClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 10, 80, 10)
 	d := directoryFor(t, g, 2)
-	rt := shard.NewRuntime(1)
+	rt := shard.NewRuntime()
 	rt.Close()
 	rt.Close() // idempotent
 	_, err := rt.Query(context.Background(), shard.Params{G: g, K: 2, W: tgraph.Window{Start: 1, End: g.TMax()}, Dir: d},
-		func(tgraph.Window, []tgraph.EID) bool { return true })
+		sinkFunc(func(tgraph.Window, []tgraph.EID) bool { return true }))
 	if err != shard.ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
 // TestQueryCancelledContext verifies a cancelled context surfaces as its
-// own error.
+// own error, with and without a cache to build into.
 func TestQueryCancelledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGraph(rng, 12, 160, 16)
 	d := directoryFor(t, g, 3)
-	rt := shard.NewRuntime(1)
+	rt := shard.NewRuntime()
 	defer rt.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rt.Query(ctx, shard.Params{G: g, K: 2, W: tgraph.Window{Start: 1, End: g.TMax()}, Dir: d},
-		func(tgraph.Window, []tgraph.EID) bool { return true })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, cache := range []*qcache.Cache{nil, qcache.New(1 << 20)} {
+		_, err := rt.Query(ctx, shard.Params{G: g, K: 2, W: tgraph.Window{Start: 1, End: g.TMax()}, Dir: d, Cache: cache},
+			sinkFunc(func(tgraph.Window, []tgraph.EID) bool { return true }))
+		if err != context.Canceled {
+			t.Fatalf("cache=%v: err = %v, want context.Canceled", cache != nil, err)
+		}
+	}
+}
+
+// TestQueryCancelMidEnumeration cancels the context from inside the sink,
+// on the first core of a query spanning every shard: the query surfaces
+// context.Canceled rather than a truncated success, emits less than the
+// full result, and leaves no goroutine behind.
+func TestQueryCancelMidEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomGraph(rng, 14, 220, 20)
+	d := directoryFor(t, g, 3)
+	rt := shard.NewRuntime()
+	defer rt.Close()
+	w := tgraph.Window{Start: 1, End: g.TMax()}
+	want := collectOracle(t, g, 2, w)
+	if len(want) < 3 || len(d.Spans(w)) < 2 {
+		t.Skip("graph too sparse for a mid-enumeration cancel")
+	}
+	for _, cache := range []*qcache.Cache{nil, qcache.New(1 << 20)} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		_, err := rt.Query(ctx, shard.Params{G: g, K: 2, W: w, Dir: d, Cache: cache},
+			sinkFunc(func(tgraph.Window, []tgraph.EID) bool {
+				seen++
+				if seen == 1 {
+					cancel()
+				}
+				return true
+			}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cache=%v: err = %v, want context.Canceled", cache != nil, err)
+		}
+		if seen == 0 || seen >= len(want) {
+			t.Fatalf("cache=%v: sink saw %d of %d cores, want a strict prefix", cache != nil, seen, len(want))
+		}
+		// Fewer is fine: a finished earlier test's goroutine may exit
+		// while this query runs.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("cache=%v: %d goroutines before the query, %d after", cache != nil, before, after)
+		}
 	}
 }

@@ -381,11 +381,12 @@ func (s *projSink) Emit(tti tgraph.Window, eids []tgraph.EID) bool {
 }
 
 // runSharded executes the request as a scatter-gather over the view's
-// shards: the plan pins the view's epoch and directory, each overlapping
-// shard runs its span on its replica pool (cached local CoreTime index +
-// boundary re-settle for sealed shards), and the gathered stream — merged
-// in shard order — is byte-identical to the unsharded enumeration of the
-// same window on the same epoch.
+// shards: the plan pins the view's epoch and directory, and each
+// overlapping shard's span resolves its CoreTime tables (a cached entry,
+// or a boundary re-settle of a sealed shard's local index) and enumerates
+// into the request's sink, in shard order on the calling goroutine — a
+// stream byte-identical to the unsharded enumeration of the same window
+// on the same epoch.
 func (r *Request) runSharded(ctx context.Context, qs *QueryStats, fn func(Core) bool) (QueryStats, error) {
 	v := r.sview
 	w, err := r.g.window(r.start, r.end)
@@ -395,10 +396,10 @@ func (r *Request) runSharded(ctx context.Context, qs *QueryStats, fn func(Core) 
 	sink := &projSink{g: r.g.g, proj: r.proj, fn: fn, qs: qs}
 	st, err := v.sg.rt.Query(ctx, shard.Params{
 		G: r.g.g, K: r.k, W: w, Dir: v.dir, Cache: r.g.cache(),
-	}, sink.Emit)
+	}, sink)
 	qs.Shards, qs.Patched = st.Spans, st.Patched
 	qs.CoreTime, qs.EnumTime = st.CoreTime, st.EnumTime
-	qs.CacheHit = st.Spans > 0 && st.CacheHits == st.Spans
+	qs.CacheHit = st.Ran > 0 && st.CacheHits == st.Ran
 	return *qs, err
 }
 

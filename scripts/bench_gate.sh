@@ -25,9 +25,9 @@ tol=${BENCH_GATE_TOLERANCE:-30}
 # index maintenance plus O(lookup) historical cache hits (PR 6), the
 # HTTP serving layer's warm point-query round-trip (PR 7), the
 # durability tier's warm restart plus the PHC partial-range patch fix
-# (PR 9), and the sharded scatter-gather serving path with its replica
-# pools (PR 10). Fixed iteration counts keep run-to-run variance inside
-# the tolerance.
+# (PR 9), and the warm sharded scatter-gather serving path against its
+# unsharded floor (PR 10). Fixed iteration counts keep run-to-run variance
+# inside the tolerance.
 raw=$(
   go test -run=NONE -bench='BenchmarkBuildScratchReuse$' -benchtime=3x -benchmem ./internal/vct/
   go test -run=NONE -bench='BenchmarkAppendOneByOne$' -benchtime=20000x -benchmem ./internal/tgraph/
@@ -39,8 +39,7 @@ raw=$(
   go test -run=NONE -bench='BenchmarkServeQueryWarm$' -benchtime=200x -benchmem ./internal/serve/
   go test -run=NONE -bench='BenchmarkOpenWarm$' -benchtime=3x -benchmem .
   go test -run=NONE -bench='BenchmarkPHCPartialRangePatch$' -benchtime=3x -benchmem .
-  go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=20x -benchmem .
-  go test -run=NONE -bench='BenchmarkReplicaReadScaling$' -benchtime=20x -benchmem .
+  go test -run=NONE -bench='BenchmarkShardedScatterGather$' -benchtime=200x -benchmem .
 )
 echo "$raw"
 
@@ -121,15 +120,9 @@ while read -r name bns bal; do
   # fsync-bound (the open rotates a WAL with a durability barrier), so
   # shared-runner disk latency dominates its few-ms ns/op; the cold
   # subtest is a compute-bound PHC rebuild and stays ns-gated.
-  # The sharded serving benches run spans on replica goroutine pools, so
-  # their wall time is scheduler-bound on shared 1-CPU runners; their
-  # structural property is the bounded per-query allocation budget, which
-  # stays gated. The unsharded ScatterGather subtests are single-threaded
-  # and stay ns-gated as the comparison floor.
   nscheck=1
   case "$name" in
   BenchmarkConcurrentServe/* | BenchmarkAppendUnderAnalytics/* | BenchmarkServeQueryWarm | BenchmarkOpenWarm/warm) nscheck=0 ;;
-  BenchmarkShardedScatterGather/sharded/* | BenchmarkReplicaReadScaling/*) nscheck=0 ;;
   esac
   if [[ $nscheck == 1 ]] && ! awk -v c="$cns" -v b="$bns" -v t="$tol" 'BEGIN { exit !(c <= b * (1 + t / 100)) }'; then
     echo "BENCH GATE FAIL: $name ns/op ${cns} is more than ${tol}% above the ${bns} baseline" >&2

@@ -21,22 +21,14 @@ type ShardOptions struct {
 	// holds at least this many edges (checked after each Append). 0 means
 	// sealing is manual (Seal).
 	MaxShardEdges int
-
-	// Replicas is the number of reader goroutines serving each shard's
-	// span tasks, each with its own private scratch. <= 0 means 2.
-	Replicas int
 }
-
-// DefaultShardReplicas is the per-shard replica count when
-// ShardOptions.Replicas is unset.
-const DefaultShardReplicas = 2
 
 // ShardedGraph partitions one temporal graph's time axis into contiguous
 // time-range shards behind the same Query API: window queries scatter to
-// exactly the shards whose range overlaps the request, run on per-shard
-// replica pools, and gather into one stream that is byte-identical to the
-// unsharded enumeration of the same window (see internal/shard for the
-// decomposition argument).
+// exactly the shards whose range overlaps the request, run one span after
+// another on the calling goroutine, and enumerate into the request's own
+// sink — a stream byte-identical to the unsharded enumeration of the same
+// window (see internal/shard for the decomposition argument).
 //
 // The append-only frontier keeps the partition trivially consistent: only
 // the newest shard accepts appends, and Seal freezes it at a cut one rank
@@ -45,7 +37,9 @@ const DefaultShardReplicas = 2
 // their per-k CoreTime tables cache under seal-scoped keys that survive
 // epoch retirement, and queries crossing a cut stitch the cached tables
 // across the boundary with an incremental re-settle instead of
-// recomputing the shard's interior.
+// recomputing the shard's interior. The re-settled tables are cached in
+// turn under the ordinary epoch key of the span's window, so a warm
+// cut-crossing query is a lookup per span plus the enumeration.
 //
 // A ShardedGraph is single-writer (Append/Seal/Close from one goroutine
 // or externally serialised); reads — Latest, Query, stats — are safe from
@@ -96,9 +90,6 @@ func NewSharded(edges []Edge, o ShardOptions) (*ShardedGraph, error) {
 // graph's spine: keep reading it if you like, but append only through the
 // ShardedGraph from now on.
 func ShardGraph(g *Graph, o ShardOptions) (*ShardedGraph, error) {
-	if o.Replicas <= 0 {
-		o.Replicas = DefaultShardReplicas
-	}
 	cuts := partitionCuts(g.g, o.Shards)
 	dir, err := shard.NewDirectory(cuts)
 	if err != nil {
@@ -107,7 +98,7 @@ func ShardGraph(g *Graph, o ShardOptions) (*ShardedGraph, error) {
 	sg := &ShardedGraph{
 		opts:  o,
 		spine: g,
-		rt:    shard.NewRuntime(o.Replicas),
+		rt:    shard.NewRuntime(),
 		dir:   dir,
 	}
 	sg.publishLocked()
@@ -265,8 +256,9 @@ func (sg *ShardedGraph) SetCacheOptions(o CacheOptions) { sg.spine.SetCacheOptio
 // CacheStats reports the shared serving cache; see Graph.CacheStats.
 func (sg *ShardedGraph) CacheStats() CacheStats { return sg.spine.CacheStats() }
 
-// Close shuts the replica pools down (and the store, when durable). Safe
-// to call twice. In-flight queries must drain first.
+// Close stops the graph serving queries (later ones fail) and closes the
+// store, when durable. Safe to call twice. In-flight queries must drain
+// first.
 func (sg *ShardedGraph) Close() error {
 	if sg.closed.Swap(true) {
 		return nil
@@ -282,8 +274,8 @@ func (sg *ShardedGraph) Close() error {
 	return nil
 }
 
-// ShardStats describes one shard of a published view, with its pool's
-// serving counters.
+// ShardStats describes one shard of a published view, with its serving
+// counters.
 type ShardStats struct {
 	ID     int
 	Sealed bool
@@ -294,10 +286,9 @@ type ShardStats struct {
 	Edges              int   // edges in the shard's range
 	Seq                int64 // seal-time mutation sequence; 0 for the frontier
 
-	Replicas  int
-	Tasks     int64 // span tasks this shard's pool has executed
-	CacheHits int64 // tasks served from resident (or shared) CoreTime tables
-	Patched   int64 // tasks that ran a boundary re-settle over the cut
+	Tasks     int64 // query spans this shard has executed
+	CacheHits int64 // spans served from resident (or shared) CoreTime tables
+	Patched   int64 // spans that ran a boundary re-settle over the cut
 }
 
 // ShardStats reports the latest view's shards in time order.
@@ -309,7 +300,7 @@ func (sg *ShardedGraph) ShardStats() []ShardStats {
 	start := tgraph.TS(1)
 	for i := 0; i < v.dir.NumShards(); i++ {
 		end := tg.TMax()
-		s := ShardStats{ID: i, Replicas: sg.rt.Replicas()}
+		s := ShardStats{ID: i}
 		if i < len(cuts) {
 			end = cuts[i].End
 			s.Sealed = true

@@ -45,7 +45,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 	lo, hi := g.TimeSpan()
 	for _, parts := range []int{1, 3, 5} {
-		sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: parts, Replicas: 2})
+		sg, err := tkc.ShardGraph(g, tkc.ShardOptions{Shards: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // a fresh rebuild — while still matching the oracle.
 func TestShardedBoundarySpanningCores(t *testing.T) {
 	edges := randomEdges(23, 12, 1200, 30) // dense: cores span wide windows
-	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4, Replicas: 2})
+	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,19 @@ func TestShardedBoundarySpanningCores(t *testing.T) {
 	v := sg.Latest()
 	lo, hi := sg.Spine().TimeSpan()
 
-	// Warm the shard-local indexes, then query across the cuts.
-	shardedMustMatch(t, v, 2, lo, hi)
-	st := shardedMustMatch(t, v, 2, lo, hi)
-	if !st.CacheHit {
-		t.Fatalf("warm cross-shard query missed the cache: %+v", st)
+	// The cold query builds the shard-local indexes and re-settles them
+	// across the cuts; the warm repeat serves every span from the cache
+	// and re-settles nothing.
+	var cold tkc.QueryStats
+	if _, err := v.Query(2).Window(lo, hi).Stats(&cold).Count(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if st.Patched == 0 {
-		t.Fatalf("cross-shard query ran no boundary re-settle: %+v", st)
+	if cold.Patched == 0 {
+		t.Fatalf("cold cross-shard query ran no boundary re-settle: %+v", cold)
+	}
+	st := shardedMustMatch(t, v, 2, lo, hi)
+	if !st.CacheHit || st.Patched != 0 {
+		t.Fatalf("warm cross-shard query missed the cache or re-settled: %+v", st)
 	}
 
 	// At least one result core must itself span a cut.
@@ -104,12 +109,144 @@ func TestShardedBoundarySpanningCores(t *testing.T) {
 	}
 }
 
+// TestShardedResettleServesUnsharded locks the span cache rule: a
+// cut-crossing span caches its re-settled tables under the ordinary epoch
+// key of its task window, so an unsharded query of that window on the same
+// epoch is a cache hit, byte-identical to a cache-disabled rebuild. Once
+// the epoch retires, the re-settled entries go with it while the sealed
+// shard-local entries stay, and the next cross-cut query re-settles each
+// crossing span exactly once.
+func TestShardedResettleServesUnsharded(t *testing.T) {
+	ctx := context.Background()
+	edges := randomEdges(23, 12, 1200, 30)
+	sg, err := tkc.NewSharded(edges, tkc.ShardOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	lo, hi := sg.Spine().TimeSpan()
+	stats := sg.ShardStats()
+	sealed := len(stats) - 1
+	if sealed < 2 {
+		t.Fatalf("want at least 2 sealed shards, got %d", sealed)
+	}
+
+	var st tkc.QueryStats
+	if _, err := sg.Latest().Query(2).Window(lo, hi).Stats(&st).Count(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards != len(stats) || st.Patched != sealed {
+		t.Fatalf("cold cross-cut query: %d spans, %d re-settled; want %d and %d", st.Shards, st.Patched, len(stats), sealed)
+	}
+
+	// Every span's task window runs from its shard's start to the query
+	// end; unsharded queries of those windows hit the sharded entries.
+	oracle, err := tkc.NewGraph(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.SetCacheOptions(tkc.CacheOptions{Disable: true})
+	snap := sg.Latest().Snapshot()
+	for _, s := range stats {
+		var qs tkc.QueryStats
+		got, err := snap.Query(2).Window(s.StartTime, hi).Stats(&qs).Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !qs.CacheHit {
+			t.Fatalf("unsharded query of shard %d's task window [%d,%d] missed the cache", s.ID, s.StartTime, hi)
+		}
+		want, err := oracle.Query(2).Window(s.StartTime, hi).Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d task window [%d,%d]: cached result differs from a cache-disabled rebuild", s.ID, s.StartTime, hi)
+		}
+	}
+
+	// Two appends publish two epochs, which retires the first one.
+	before := sg.CacheStats()
+	for i := int64(1); i <= 2; i++ {
+		if _, err := sg.Append(tkc.Edge{U: edges[0].U, V: edges[0].V, Time: hi + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := sg.CacheStats()
+	if retired := after.Retired - before.Retired; retired != int64(len(stats)) {
+		t.Fatalf("retired %d entries, want the %d re-settled span entries", retired, len(stats))
+	}
+	if after.Entries != sealed {
+		t.Fatalf("%d entries resident after retirement, want the %d shard-local entries", after.Entries, sealed)
+	}
+
+	v := sg.Latest()
+	if _, err := v.Query(2).Window(lo, hi).Stats(&st).Count(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Patched != sealed {
+		t.Fatalf("cross-cut query after retirement re-settled %d spans, want %d", st.Patched, sealed)
+	}
+	shardedMustMatch(t, v, 2, lo, hi)
+	for i, s := range sg.ShardStats() {
+		want := int64(0)
+		if s.Sealed {
+			want = 2 // once before the appends, once after
+		}
+		if s.Patched != want {
+			t.Fatalf("shard %d re-settled %d times, want %d", i, s.Patched, want)
+		}
+	}
+}
+
+// TestShardedEarlyStopSkipsLaterSpans: a query that stops at its first
+// core, which lies in the first span, must not resolve any later span.
+func TestShardedEarlyStopSkipsLaterSpans(t *testing.T) {
+	ctx := context.Background()
+	sg, err := tkc.NewSharded(randomEdges(23, 12, 1200, 30), tkc.ShardOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	lo, hi := sg.Spine().TimeSpan()
+	first, err := sg.Latest().Snapshot().Query(2).Window(lo, hi).EarlyStop(1).Collect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sg.ShardStats()
+	if len(first) != 1 || first[0].Start > before[0].EndTime {
+		t.Fatalf("the first core %+v does not lie in the first shard [%d,%d]", first, before[0].StartTime, before[0].EndTime)
+	}
+	// The unsharded query cached the first span's tables (its task window
+	// is the whole query window), so the one span that runs is a hit.
+	var st tkc.QueryStats
+	got, err := sg.Latest().Query(2).Window(lo, hi).EarlyStop(1).Stats(&st).Collect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, first) {
+		t.Fatal("sharded EarlyStop(1) differs from the unsharded first core")
+	}
+	if st.Shards != len(before) || !st.CacheHit {
+		t.Fatalf("stats %+v: want %d shards and a cache hit", st, len(before))
+	}
+	for i, s := range sg.ShardStats() {
+		want := before[i].Tasks
+		if i == 0 {
+			want++
+		}
+		if s.Tasks != want {
+			t.Fatalf("shard %d ran %d spans, want %d", i, s.Tasks, want)
+		}
+	}
+}
+
 func TestShardedAppendSealLifecycle(t *testing.T) {
 	edges := randomEdges(5, 14, 1400, 60)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Time < edges[j].Time })
 	base, rest := edges[:300], edges[300:]
 
-	sg, err := tkc.NewSharded(base, tkc.ShardOptions{MaxShardEdges: 250, Replicas: 2})
+	sg, err := tkc.NewSharded(base, tkc.ShardOptions{MaxShardEdges: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +328,7 @@ func TestShardedBuilderGuards(t *testing.T) {
 }
 
 func TestShardedEarlyStopAndSeq(t *testing.T) {
-	sg, err := tkc.NewSharded(randomEdges(31, 14, 700, 30), tkc.ShardOptions{Shards: 3, Replicas: 2})
+	sg, err := tkc.NewSharded(randomEdges(31, 14, 700, 30), tkc.ShardOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,9 +218,10 @@ type QueryStats struct {
 
 	// Shards is the number of shard spans a sharded request scattered to;
 	// zero for unsharded requests. For sharded requests CacheHit reports
-	// that every span was served from resident (or shared) tables, and
-	// CoreTime/EnumTime sum the spans' phase costs (CPU, not wall time —
-	// spans run concurrently).
+	// that every span the request ran (all of them, unless the consumer
+	// stopped early) was served from resident (or shared) tables, and
+	// CoreTime/EnumTime sum the spans' phase costs; the spans run one
+	// after another.
 	Shards int
 	// Patched counts the spans that extended a cached shard-local index
 	// across its cut with a boundary re-settle instead of rebuilding.
